@@ -573,8 +573,11 @@ def bench_invariant_overhead(deliveries: int = 50_000, e2e_scale: float = 0.1
     * **disabled** — no hook installed; the single ``None`` check every
       unmonitored run pays;
     * **monitored** — :class:`~repro.sim.invariants.InvariantMonitor`
-      installed with a covering ledger entry, so each delivery runs the
-      full duplicate + phantom check.
+      installed over a ledger shaped like one scenario-matrix cell (60
+      players, each with a six-epoch history of zone moves and an
+      offline spell) and the harness's phantom grace, so each delivery
+      runs the full duplicate + phantom check against a multi-epoch
+      window, as in the matrix.
 
     The **e2e** block replays one scenario × chaos cell with the monitor
     off and on, asserting the report digest and node counters are
@@ -588,6 +591,22 @@ def bench_invariant_overhead(deliveries: int = 50_000, e2e_scale: float = 0.1
     perf = time.perf_counter
     cd = Name(["1", "2"])
 
+    def matrix_cell_ledger() -> SubscriptionLedger:
+        ledger = SubscriptionLedger()
+        for p in range(60):
+            player = "h" if p == 0 else f"p{p}"
+            for k in range(5):
+                t = 600.0 * k + p
+                if k == 2:
+                    ledger.note_offline(player, t)
+                else:
+                    zone = f"/{(p + k) % 4 + 2}/{k}"
+                    ledger.note(player, t, ["/0", zone, Name.parse(zone).parent])
+            # Everyone ends in region /1; "h" in the bench CD's zone.
+            zone = "/1/2" if p == 0 else f"/1/{p % 4 + 3}"
+            ledger.note(player, 3_000.0 + p, ["/0", zone])
+        return ledger
+
     def one_arm(with_monitor: bool) -> float:
         network = Network()
         router = GCopssRouter(network, "R")
@@ -595,9 +614,12 @@ def bench_invariant_overhead(deliveries: int = 50_000, e2e_scale: float = 0.1
         network.connect(host, router, delay=0.1)
         face = host.face_toward(router)
         if with_monitor:
-            ledger = SubscriptionLedger()
-            ledger.note("h", 0.0, [cd])
-            InvariantMonitor(ledger).install(network)
+            # The harness's phantom grace (TTL + two sweeps at a 500 ms
+            # refresh) spans the host's whole history, as in the matrix.
+            InvariantMonitor(matrix_cell_ledger(), phantom_grace_ms=7_000.0).install(
+                network
+            )
+        network.sim.run(until=4_000.0)  # deliver after every epoch
         batch = 10_000
         elapsed = 0.0
         done = 0

@@ -52,7 +52,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.names import Name
 from repro.obs.tracer import trace_id_of
@@ -76,9 +76,10 @@ def covered(cd: Name, subscriptions: Iterable[Name]) -> bool:
     """Does any held subscription entitle the holder to updates under ``cd``?
 
     COPSS ST matching is hierarchical: a subscription to a CD receives
-    publications to it and to anything beneath it.
+    publications to it and to anything beneath it — so a subscription
+    covers ``cd`` exactly when it is one of ``cd``'s (cached) prefixes.
     """
-    return any(sub == cd or sub.is_prefix_of(cd) for sub in subscriptions)
+    return not frozenset(subscriptions).isdisjoint(cd.prefixes())
 
 
 class SubscriptionLedger:
@@ -89,10 +90,22 @@ class SubscriptionLedger:
     monitor reads the epochs back to judge deliveries.  Epochs must be
     appended in non-decreasing time order per host (the natural order,
     since the experiment appends from inside scheduled callbacks).
+
+    Queries are indexed rather than scanned: each host keeps its epoch
+    start times in an array the window queries bisect, coverage is set
+    algebra against ``cd.prefixes()``, and a per-CD cache lists the
+    hosts that ever held a covering name (cleared by :meth:`note`), so
+    the verdict only tests hosts that could owe a delivery.
     """
 
     def __init__(self) -> None:
         self._epochs: Dict[str, List[Tuple[float, FrozenSet[Name], bool]]] = {}
+        #: host -> epoch start times, parallel to ``_epochs[host]``.
+        self._times: Dict[str, List[float]] = {}
+        #: host -> every name any of its epochs ever held.
+        self._ever: Dict[str, Set[Name]] = {}
+        #: cd -> sorted hosts whose history holds a name covering cd.
+        self._candidates: Dict[Name, List[str]] = {}
 
     def hosts(self) -> List[str]:
         return sorted(self._epochs)
@@ -101,37 +114,55 @@ class SubscriptionLedger:
         self, host: str, t: float, cds: Iterable["Name | str"], online: bool = True
     ) -> None:
         """Record that ``host``'s subscription set became ``cds`` at ``t``."""
-        epochs = self._epochs.setdefault(host, [])
-        if epochs and t < epochs[-1][0]:
+        times = self._times.setdefault(host, [])
+        if times and t < times[-1]:
             raise ValueError(
                 f"ledger epochs for {host} must be time-ordered: "
-                f"{t} < {epochs[-1][0]}"
+                f"{t} < {times[-1]}"
             )
-        epochs.append((t, frozenset(Name.coerce(cd) for cd in cds), online))
+        subs = frozenset(Name.coerce(cd) for cd in cds)
+        self._epochs.setdefault(host, []).append((t, subs, online))
+        times.append(t)
+        self._ever.setdefault(host, set()).update(subs)
+        self._candidates.clear()
 
     def note_offline(self, host: str, t: float) -> None:
         """The host went dark: no subscriptions, not reachable."""
         self.note(host, t, (), online=False)
 
+    def _window(self, host: str, start: float, end: float) -> Tuple[int, int]:
+        """Index range ``[lo, hi)`` of the host's epochs overlapping the window.
+
+        Epoch i is active on ``[t_i, t_{i+1})``; the last one runs
+        forever.  ``lo`` is -1 when ``start`` predates the first epoch.
+        """
+        times = self._times.get(host)
+        if not times:
+            return 0, 0
+        return bisect_right(times, start) - 1, bisect_right(times, end)
+
     def epochs_overlapping(
         self, host: str, start: float, end: float
     ) -> List[Tuple[float, FrozenSet[Name], bool]]:
         """Epochs whose active interval intersects ``[start, end]``."""
-        epochs = self._epochs.get(host, [])
-        if not epochs:
-            return []
-        # Epoch i is active on [t_i, t_{i+1}); the last one runs forever.
-        times = [t for t, _, _ in epochs]
-        lo = max(0, bisect_right(times, start) - 1)
-        hi = bisect_right(times, end)
-        return epochs[lo:hi]
+        lo, hi = self._window(host, start, end)
+        return self._epochs.get(host, [])[max(0, lo):hi]
 
     def covered_in_window(self, host: str, cd: Name, start: float, end: float) -> bool:
-        """Was ``cd`` covered by any epoch overlapping ``[start, end]``?"""
-        return any(
-            online and covered(cd, subs)
-            for _, subs, online in self.epochs_overlapping(host, start, end)
-        )
+        """Was ``cd`` covered by any epoch overlapping ``[start, end]``?
+
+        Scans newest-first: a delivery is almost always judged against
+        the subscription its host holds now.
+        """
+        lo, hi = self._window(host, start, end)
+        if hi <= 0:
+            return False
+        epochs = self._epochs[host]
+        for i in range(hi - 1, max(0, lo) - 1, -1):
+            _, subs, online = epochs[i]
+            if online and covered(cd, subs):
+                return True
+        return False
 
     def stable_through(self, host: str, cd: Name, start: float, end: float) -> bool:
         """One covering subscription held through every epoch of ``[start, end]``.
@@ -148,17 +179,18 @@ class SubscriptionLedger:
         flight or awaiting the next refresh retransmit — soft state
         guarantees nothing until it lands.
         """
-        epochs = self.epochs_overlapping(host, start, end)
-        if not epochs or epochs[0][0] > start:
-            return False  # the window head predates the host's first epoch
-        if not all(online for _, _, online in epochs):
+        lo, hi = self._window(host, start, end)
+        if lo < 0 or hi <= lo:
+            # The window head predates the host's first epoch, or the
+            # window ends before the head's epoch begins.
             return False
-        _, first_subs, _ = epochs[0]
-        return any(
-            all(sub in subs for _, subs, _ in epochs)
-            for sub in first_subs
-            if sub == cd or sub.is_prefix_of(cd)
-        )
+        epochs = self._epochs[host]
+        held = epochs[lo][1].intersection(cd.prefixes())
+        for _, subs, online in epochs[lo:hi]:
+            if not online:
+                return False
+            held = held.intersection(subs)
+        return bool(held)
 
     def uncovered_since(self, host: str, cd: Name) -> Optional[float]:
         """Instant the host last stopped covering ``cd`` (None if covered).
@@ -168,16 +200,27 @@ class SubscriptionLedger:
         ``(host, cd)`` became garbage the soft-state sweep must reap.
         For a host with no covering history, that is its first epoch.
         """
-        epochs = self._epochs.get(host, [])
-        if not epochs:
-            return None
         since: Optional[float] = None
-        for t, subs, online in epochs:
+        for t, subs, online in reversed(self._epochs.get(host, ())):
             if online and covered(cd, subs):
-                since = None
-            elif since is None:
-                since = t
+                break
+            since = t
         return since
+
+    def candidates(self, cd: Name) -> List[str]:
+        """Sorted hosts that ever held a name covering ``cd``.
+
+        Every other host fails :meth:`stable_through` for ``cd`` on any
+        window, so the verdict need not ask them.
+        """
+        hosts = self._candidates.get(cd)
+        if hosts is None:
+            prefixes = cd.prefixes()
+            hosts = self._candidates[cd] = [
+                host for host in sorted(self._ever)
+                if not self._ever[host].isdisjoint(prefixes)
+            ]
+        return hosts
 
 
 @dataclass(frozen=True)
@@ -261,10 +304,9 @@ def expected_deliveries(
     subscribers, and that is exactly who this selects.
     """
     out: List[Tuple[int, float, str]] = []
-    hosts = ledger.hosts()
     for sequence, t_pub, cd, publisher in publishes:
         until = min(t_pub + stability_window_ms, horizon_ms)
-        for host in hosts:
+        for host in ledger.candidates(cd):
             if host == publisher:
                 continue  # publishers suppress their own echo
             if ledger.stable_through(host, cd, t_pub - join_margin_ms, until):
