@@ -114,7 +114,7 @@ class BoundaryClock:
     left is delivery, which here means one frame to the peer process.
     The propagation delay is dropped on the floor: the differential
     compares counters, not timing, and the receiving clock re-applies
-    service costs (ARCHITECTURE.md §9 spells out what that does and does
+    service costs (ARCHITECTURE.md §8 spells out what that does and does
     not prove).
     """
 

@@ -25,10 +25,8 @@ ARCHITECTURE.md §6).
 
 1. The engine executes events in ``(time, origin, seq)`` order, where
    ``origin`` is the rank of the node whose activity scheduled the event
-   (for packet arrivals: the *sender's* rank).  The calendar-queue
-   engine realizes this order with per-timestamp buckets and link-batch
-   coalescing, but the total order — the only thing this argument needs
-   — is identical to the old global heap's (pinned by
+   (for packet arrivals: the *sender's* rank).  The engine's single
+   heap is keyed on exactly this tuple (pinned by
    ``tests/test_scheduler_equivalence.py``).  See
    :mod:`repro.sim.engine`.
 2. Every event's callback touches exactly one node (its queue, timers,

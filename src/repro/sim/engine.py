@@ -19,68 +19,15 @@ Two runs with the same inputs still produce identical schedules; the
 ``origin`` field only changes *which* deterministic order ties resolve
 to.
 
-Queue layout — a calendar of per-timestamp buckets
---------------------------------------------------
-
-Game workloads schedule almost every event as ``now + delay`` with
-``delay`` drawn from the small set of distinct link delays and service
-times, so pending events cluster heavily onto few distinct timestamps
-(one multicast fan-out alone lands k arrivals on the same tick).  The
-pre-batch engine paid one global-heap push *and* one pop — each a
-``(time, origin, seq, handle)`` tuple comparison chain over the whole
-event population — per event.
-
-The queue is now bucketed by *exact* timestamp:
-
-* ``_buckets`` maps each distinct pending time to an append-ordered list
-  of ``(origin, seq, payload)`` entries;
-* ``_times`` is a small heap over the distinct times only — the overflow
-  lane that makes irregular timestamps (jitter, harness schedules)
-  exactly as correct as calendar hits, just one float-heap entry each;
-* the run loop activates the earliest bucket, sorts it once (C timsort
-  on ``(origin, seq)`` — unique keys, so payloads never compare), and
-  drains it by index.
-
-Per event that shares its timestamp with k-1 others, the old per-event
-``O(log n)`` push/pop pair becomes an O(1) dict append plus a 1/k share
-of one float-heap pop and one k·log k sort.  Keying buckets on exact
-float equality (rather than a bucket *width*) is what keeps the
-``(time, origin, seq)`` order bit-identical: distinct floats order via
-the time heap, equal floats collide into one bucket, and there is no
-epsilon anywhere.
-
-Zero-delay events scheduled *while their tick is draining* insert into
-the active bucket's sorted remainder (``bisect.insort``), reproducing
-exactly the heap's behavior of interleaving same-tick late arrivals by
-``(origin, seq)``.
-
-Link batches
-------------
-
-``schedule_link`` additionally coalesces seq-*contiguous* arrivals with
-the same ``(time, sort_origin)`` — the fan-out pattern: one node
-replicating a Multicast over equal-delay faces back-to-back — into one
-bucket entry whose payload is the list of member handles in send order.
-Coalescing keeps no chain state: an arrival joins the bucket's last
-entry exactly when it extends that entry's contiguous seq run, a
-condition read straight off the data.  Because the members occupy
-consecutive sequence numbers, nothing can sort between them, so
-delivering the whole batch at the first member's position is *provably*
-the same total order the heap produced; the run loop executes members
-in list order (= send order = seq order), skipping individually
-cancelled members and counting each member toward ``events_processed``
-and ``max_events``.  A batch interrupted mid-way (``stop()``, an
-exhausted event budget, or same-tick *preemption* — a member callback
-scheduling an event that sorts before the remaining members) re-queues
-its unexecuted tail at its ``(origin, seq)`` position, preserving
-single-event semantics exactly.
+The queue is one ``heapq`` of ``(time, origin, seq, handle)`` tuples.
+``seq`` is unique per simulator, so the heap never compares handles and
+the ``(time, origin, seq)`` order holds by construction.
 """
 
 from __future__ import annotations
 
-from bisect import insort
 from heapq import heappop, heappush
-from typing import TYPE_CHECKING, Any, Callable, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Any, Callable, List, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.network import Network
@@ -92,10 +39,6 @@ __all__ = ["Simulator", "EventHandle", "SerialExecutor", "EXTERNAL_ORIGIN"]
 #: Sorts before every node rank, matching the historical behavior that
 #: pre-run scheduling (smallest sequence numbers) executed first on ties.
 EXTERNAL_ORIGIN = -1
-
-#: Sentinel for "no active bucket": NaN compares unequal to every float,
-#: so ``time == self._cur_time`` can never spuriously hit it.
-_NO_TIME = float("nan")
 
 
 class EventHandle:
@@ -141,13 +84,6 @@ class EventHandle:
         self.cancelled = True
 
 
-#: A bucket entry: ``(origin, seq, payload)`` where payload is a single
-#: handle or — for coalesced link arrivals — a list of member handles in
-#: send order.  ``(origin, seq)`` is unique, so sorting never compares
-#: payloads.
-_Entry = Tuple[int, int, Union[EventHandle, List[EventHandle]]]
-
-
 class Simulator:
     """A deterministic discrete-event scheduler.
 
@@ -168,15 +104,7 @@ class Simulator:
 
     def __init__(self) -> None:
         self.now: float = 0.0
-        # Calendar state: per-timestamp buckets + distinct-time heap
-        # (see module docstring for the layout argument).
-        self._buckets: dict[float, List[_Entry]] = {}
-        self._times: list[float] = []
-        # The activated (earliest) bucket: sorted, consumed by index.
-        self._cur: List[_Entry] = []
-        self._cur_idx: int = 0
-        self._cur_time: float = _NO_TIME
-        self._size: int = 0
+        self._heap: List[Tuple[float, int, int, EventHandle]] = []
         self._seq: int = 0
         self._running = False
         self._stopped = False
@@ -185,59 +113,39 @@ class Simulator:
         #: :meth:`schedule` / :meth:`schedule_at` as the default origin of
         #: new events.  ``EXTERNAL_ORIGIN`` outside any callback.
         self.origin: int = EXTERNAL_ORIGIN
-        #: Batch-delivery occupancy counters (perfbench's ``scheduler``
-        #: section): entries delivered as multi-member batches, and the
-        #: total member events those batches carried.
-        self.batch_pops: int = 0
-        self.batch_members: int = 0
 
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
-    def _enqueue(self, time: float, origin: int, handle: EventHandle) -> None:
-        """The single validated insertion point for non-arrival events.
-
-        Every ``schedule*`` path lands here except the two link-arrival
-        paths (:meth:`schedule_link`, :meth:`schedule_arrival_at`), which
-        add batch coalescing — and of which the per-hop ``schedule_link``
-        stays fully inlined.
-        """
+    def _push(
+        self,
+        time: float,
+        sort_origin: int,
+        exec_origin: int,
+        callback: Callable[..., Any],
+        args: tuple,
+        loc: Optional[int] = None,
+    ) -> EventHandle:
+        """The single validated insertion point (all but ``schedule_link``)."""
         if time < self.now:
             raise ValueError(f"cannot schedule at {time} before now={self.now}")
-        if time == self._cur_time:
-            # Same-tick insert while that tick drains: keep the active
-            # bucket's unconsumed remainder sorted, exactly where the
-            # heap would have interleaved it.
-            insort(self._cur, (origin, handle.seq, handle), self._cur_idx)
-        else:
-            buckets = self._buckets
-            bucket = buckets.get(time)
-            if bucket is None:
-                buckets[time] = [(origin, handle.seq, handle)]
-                heappush(self._times, time)
-            else:
-                bucket.append((origin, handle.seq, handle))
-        self._size += 1
+        seq = self._seq
+        self._seq = seq + 1
+        handle = EventHandle(time, seq, callback, args, exec_origin, loc)
+        heappush(self._heap, (time, sort_origin, seq, handle))
+        return handle
 
     def schedule(self, delay: float, callback: Callable[..., Any], *args: Any) -> EventHandle:
         """Schedule ``callback(*args)`` to run ``delay`` ms from now."""
         if delay < 0:
             raise ValueError(f"cannot schedule into the past (delay={delay})")
         origin = self.origin
-        seq = self._seq
-        self._seq = seq + 1
-        handle = EventHandle(self.now + delay, seq, callback, args, origin)
-        self._enqueue(handle.time, origin, handle)
-        return handle
+        return self._push(self.now + delay, origin, origin, callback, args)
 
     def schedule_at(self, time: float, callback: Callable[..., Any], *args: Any) -> EventHandle:
         """Schedule ``callback(*args)`` at absolute simulated time ``time``."""
         origin = self.origin
-        seq = self._seq
-        self._seq = seq + 1
-        handle = EventHandle(time, seq, callback, args, origin)
-        self._enqueue(time, origin, handle)
-        return handle
+        return self._push(time, origin, origin, callback, args)
 
     def schedule_at_node(
         self, time: float, rank: int, callback: Callable[..., Any], *args: Any
@@ -252,11 +160,7 @@ class Simulator:
         distance-to-boundary instead of the conservative zero.
         """
         origin = self.origin
-        seq = self._seq
-        self._seq = seq + 1
-        handle = EventHandle(time, seq, callback, args, origin, loc=rank)
-        self._enqueue(time, origin, handle)
-        return handle
+        return self._push(time, origin, origin, callback, args, rank)
 
     def schedule_link(
         self,
@@ -277,45 +181,12 @@ class Simulator:
         hot path — hence no validation and no helper call: link delays
         and fault jitter are validated non-negative at their sources, so
         ``time >= now`` holds by construction.
-
-        Consecutive calls with the same ``(time, sort_origin)`` — a node
-        fanning one Multicast out over equal-delay faces — coalesce into
-        one batch entry delivered with a single queue operation (see the
-        module docstring's ordering argument).
         """
         time = self.now + delay
         seq = self._seq
         self._seq = seq + 1
         handle = EventHandle(time, seq, callback, args, exec_origin)
-        if time == self._cur_time:
-            # Zero-delay arrival into the draining tick: ordered insert
-            # (the active bucket may be partially consumed).
-            insort(self._cur, (sort_origin, seq, handle), self._cur_idx)
-        else:
-            buckets = self._buckets
-            bucket = buckets.get(time)
-            if bucket is None:
-                buckets[time] = [(sort_origin, seq, handle)]
-                heappush(self._times, time)
-            else:
-                # Batch coalescing: seq-contiguity with the bucket's last
-                # entry *is* the validity condition (consecutive seqs at
-                # the same (time, origin) admit nothing between them), so
-                # no chain state is kept — the check reads the data.
-                last = bucket[-1]
-                if last[0] == sort_origin:
-                    payload = last[2]
-                    if type(payload) is list:
-                        if payload[-1].seq + 1 == seq:
-                            payload.append(handle)
-                            self._size += 1
-                            return handle
-                    elif last[1] + 1 == seq:
-                        bucket[-1] = (sort_origin, last[1], [payload, handle])
-                        self._size += 1
-                        return handle
-                bucket.append((sort_origin, seq, handle))
-        self._size += 1
+        heappush(self._heap, (time, sort_origin, seq, handle))
         return handle
 
     def schedule_arrival_at(
@@ -330,88 +201,13 @@ class Simulator:
 
         Used by the sharded executor's barrier to re-inject cross-shard
         transit arrivals with the sender's rank preserved, so the merged
-        order matches what the serial queue would have produced.  Batch
-        coalescing applies here too: the barrier injects one sender's
-        same-tick fan-out back-to-back, which re-forms the batch the
-        sending shard would have built locally.
+        order matches what the serial queue would have produced.
         """
-        if time < self.now:
-            raise ValueError(f"cannot schedule at {time} before now={self.now}")
-        seq = self._seq
-        self._seq = seq + 1
-        handle = EventHandle(time, seq, callback, args, exec_origin)
-        if time == self._cur_time:
-            insort(self._cur, (sort_origin, seq, handle), self._cur_idx)
-        else:
-            buckets = self._buckets
-            bucket = buckets.get(time)
-            if bucket is None:
-                buckets[time] = [(sort_origin, seq, handle)]
-                heappush(self._times, time)
-            else:
-                last = bucket[-1]
-                if last[0] == sort_origin:
-                    payload = last[2]
-                    if type(payload) is list:
-                        if payload[-1].seq + 1 == seq:
-                            payload.append(handle)
-                            self._size += 1
-                            return handle
-                    elif last[1] + 1 == seq:
-                        bucket[-1] = (sort_origin, last[1], [payload, handle])
-                        self._size += 1
-                        return handle
-                bucket.append((sort_origin, seq, handle))
-        self._size += 1
-        return handle
+        return self._push(time, sort_origin, exec_origin, callback, args)
 
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def _activate_next(self) -> float:
-        """Pop the earliest bucket out of the calendar and sort it."""
-        time = heappop(self._times)
-        bucket = self._buckets.pop(time)
-        bucket.sort()
-        self._cur = bucket
-        self._cur_idx = 0
-        self._cur_time = time
-        return time
-
-    def _requeue_batch_rest(self, origin: int, members: List[EventHandle], start: int) -> None:
-        """Re-queue a batch's unexecuted tail into the active bucket.
-
-        Ordered insert rather than positional: batch seqs are consecutive,
-        so absent same-tick insertions the tail lands exactly at the drain
-        cursor where the original batch stood — and if a callback *did*
-        insert a same-tick event (the preemption case), insort places the
-        tail on whichever side of it ``(origin, seq)`` dictates, exactly
-        where the reference heap would resume it.
-        """
-        rest = members[start:]
-        insort(self._cur, (origin, rest[0].seq, rest), self._cur_idx)
-
-    def _requeue_batch_fast(
-        self, time: float, origin: int, members: List[EventHandle], start: int
-    ) -> None:
-        """Re-queue a batch tail when no drain cursor is installed.
-
-        The single-entry fast path executes batches straight off the popped
-        bucket; an interrupted tail goes back into the calendar at its own
-        tick.  If a member callback already re-created the bucket (the
-        preemption case), appending is enough — activation re-sorts the
-        tick, which is exactly the reference-heap order.
-        """
-        rest = members[start:]
-        entry = (origin, rest[0].seq, rest)
-        buckets = self._buckets
-        bucket = buckets.get(time)
-        if bucket is None:
-            buckets[time] = [entry]
-            heappush(self._times, time)
-        else:
-            bucket.append(entry)
-
     def run(
         self,
         until: Optional[float] = None,
@@ -429,8 +225,7 @@ class Simulator:
         than advancing to the horizon, so a fully drained shard reports
         the same final time the serial engine would.  ``max_events``
         bounds the number of callbacks executed, as a guard against
-        runaway feedback loops in experimental code; each member of a
-        delivered link batch counts as one event.
+        runaway feedback loops in experimental code.
         """
         if self._running:
             raise RuntimeError("simulator is already running")
@@ -443,106 +238,23 @@ class Simulator:
         # forced off so an (absurd) event at literal +inf still runs.
         horizon = float("inf") if until is None else until
         exclusive = not inclusive and until is not None
-        times = self._times
-        buckets = self._buckets
+        heap = self._heap
         try:
-            while not self._stopped:
-                cur = self._cur
-                idx = self._cur_idx
-                active = idx < len(cur)
-                if active:
-                    time = self._cur_time
-                else:
-                    if cur:
-                        # Fully drained: drop the last bucket so its
-                        # executed handles (and their packets) can be
-                        # collected, like heap pops always did.
-                        self._cur = cur = []
-                        self._cur_idx = idx = 0
-                        self._cur_time = _NO_TIME
-                    if not times:
-                        break
-                    time = times[0]
+            while heap and not self._stopped:
+                time = heap[0][0]
                 if time > horizon or (exclusive and time == horizon):
                     if inclusive:
                         # max(): a shard already drained past `until` must
                         # not move its clock backwards on idle-advance.
                         self.now = max(self.now, until)
                     return
-                if active:
-                    entry = cur[idx]
-                    self._cur_idx = idx + 1
-                else:
-                    heappop(times)
-                    bucket = buckets.pop(time)
-                    if len(bucket) > 1:
-                        # Multi-entry tick: sort once, drain by index.
-                        bucket.sort()
-                        self._cur = cur = bucket
-                        self._cur_idx = 1
-                        self._cur_time = time
-                        active = True
-                        entry = bucket[0]
-                    else:
-                        # Single-entry tick — the sparse-calendar common
-                        # case: execute straight off the popped bucket,
-                        # never installing the drain cursor.
-                        entry = bucket[0]
-                payload = entry[2]
-                if type(payload) is not list:
-                    self._size -= 1
-                    if payload.cancelled:
-                        continue
-                    self.now = time
-                    self.origin = payload.exec_origin
-                    payload.callback(*payload.args)
-                    processed += 1
-                    if processed >= budget:
-                        return
+                handle = heappop(heap)[3]
+                if handle.cancelled:
                     continue
-                # Batch delivery.  Between member callbacks we must watch
-                # for *preemption*: a callback scheduling a same-tick event
-                # whose (origin, seq) sorts before the remaining members —
-                # the reference heap would pop it first, so we re-queue the
-                # unexecuted tail and let the outer loop re-order.
-                members = payload
-                k = len(members)
-                self.batch_pops += 1
-                self.batch_members += k
-                self._size -= k
-                origin = entry[0]
-                cur_len = len(cur)
-                i = 0
-                while i < k:
-                    handle = members[i]
-                    i += 1
-                    if handle.cancelled:
-                        continue
-                    self.now = time
-                    self.origin = handle.exec_origin
-                    handle.callback(*handle.args)
-                    processed += 1
-                    if i >= k:
-                        break
-                    if processed >= budget or self._stopped:
-                        self._size += k - i
-                        if active:
-                            self._requeue_batch_rest(origin, members, i)
-                        else:
-                            self._requeue_batch_fast(time, origin, members, i)
-                        break
-                    if active:
-                        if len(cur) != cur_len:
-                            # Same-tick insertion landed in the active
-                            # bucket during the callback.
-                            self._size += k - i
-                            self._requeue_batch_rest(origin, members, i)
-                            break
-                    elif times and times[0] == time:
-                        # Same-tick insertion re-created our bucket.
-                        self._size += k - i
-                        self._requeue_batch_fast(time, origin, members, i)
-                        break
+                self.now = time
+                self.origin = handle.exec_origin
+                handle.callback(*handle.args)
+                processed += 1
                 if processed >= budget:
                     return
             if until is not None and inclusive and not self._stopped:
@@ -554,42 +266,11 @@ class Simulator:
 
     def step(self) -> bool:
         """Process exactly one (non-cancelled) event.  Returns False if idle."""
-        while True:
-            cur = self._cur
-            idx = self._cur_idx
-            if idx >= len(cur):
-                if not self._times:
-                    return False
-                self._activate_next()
-                cur = self._cur
-                idx = 0
-            entry = cur[idx]
-            payload = entry[2]
-            time = self._cur_time
-            if type(payload) is not list:
-                self._cur_idx = idx + 1
-                self._size -= 1
-                if payload.cancelled:
-                    continue
-                handle = payload
-            else:
-                # Consume exactly one live member; the tail stays queued
-                # in place so the next step resumes inside the batch.
-                members = payload
-                start = 0
-                handle = None
-                for i, member in enumerate(members):
-                    self._size -= 1
-                    if not member.cancelled:
-                        handle = member
-                        start = i + 1
-                        break
-                else:
-                    self._cur_idx = idx + 1  # batch was all cancelled
-                    continue
-                self._cur_idx = idx + 1
-                if start < len(members):
-                    self._requeue_batch_rest(entry[0], members, start)
+        heap = self._heap
+        while heap:
+            time, _origin, _seq, handle = heappop(heap)
+            if handle.cancelled:
+                continue
             self.now = time
             self.origin = handle.exec_origin
             try:
@@ -598,6 +279,7 @@ class Simulator:
                 self.origin = EXTERNAL_ORIGIN
             self.events_processed += 1
             return True
+        return False
 
     def stop(self) -> None:
         """Stop the loop after the current callback returns."""
@@ -608,77 +290,26 @@ class Simulator:
     # ------------------------------------------------------------------
     def pending(self) -> int:
         """Number of events still queued (including lazily cancelled ones)."""
-        return self._size
+        return len(self._heap)
 
     def telemetry(self) -> dict:
         """Engine-level gauges for the metrics registry."""
         return {
             "now_ms": self.now,
             "events_processed": self.events_processed,
-            "events_pending": self._size,
+            "events_pending": len(self._heap),
         }
 
     def peek_time(self) -> Optional[float]:
         """Time of the next live event, or None when idle.
 
-        Discards cancelled events (and fully cancelled buckets) it scans
-        past, mirroring the old heap's lazy head-pop.
+        Pops the cancelled events it finds at the head of the queue, the
+        same lazy discard the run loop performs.
         """
-        cur = self._cur
-        idx = self._cur_idx
-        while idx < len(cur):
-            payload = cur[idx][2]
-            if type(payload) is not list:
-                if not payload.cancelled:
-                    break
-                idx += 1
-                self._size -= 1
-            else:
-                while payload and payload[0].cancelled:
-                    del payload[0]
-                    self._size -= 1
-                if payload:
-                    break
-                idx += 1
-        self._cur_idx = idx
-        if idx < len(cur):
-            return self._cur_time
-        times = self._times
-        buckets = self._buckets
-        while times:
-            time = times[0]
-            bucket = buckets[time]
-            for _origin, _seq, payload in bucket:
-                if type(payload) is not list:
-                    if not payload.cancelled:
-                        return time
-                elif any(not member.cancelled for member in payload):
-                    return time
-            # Every entry cancelled: drop the whole bucket lazily.
-            heappop(times)
-            del buckets[time]
-            for _origin, _seq, payload in bucket:
-                self._size -= len(payload) if type(payload) is list else 1
-        return None
-
-    def _iter_pending(self):
-        """Yield ``(time, handle)`` for every queued event (incl. cancelled)."""
-        cur = self._cur
-        cur_time = self._cur_time
-        for i in range(self._cur_idx, len(cur)):
-            payload = cur[i][2]
-            if type(payload) is list:
-                for handle in payload:
-                    yield cur_time, handle
-            else:
-                yield cur_time, payload
-        for time, bucket in self._buckets.items():
-            for _origin, _seq, payload in bucket:
-                if type(payload) is list:
-                    for handle in payload:
-                        yield time, handle
-                else:
-                    yield time, payload
+        heap = self._heap
+        while heap and heap[0][3].cancelled:
+            heappop(heap)
+        return heap[0][0] if heap else None
 
     def earliest_output_bound(
         self, dist_by_rank: dict, default: float = 0.0
@@ -707,7 +338,7 @@ class Simulator:
         """
         bound = float("inf")
         get = dist_by_rank.get
-        for time, handle in self._iter_pending():
+        for time, _origin, _seq, handle in self._heap:
             if handle.cancelled:
                 continue
             candidate = time + get(handle.loc, default)

@@ -1,22 +1,21 @@
-"""Bucketed scheduler ≡ reference heapq — property and regression suite.
+"""Heap scheduler ≡ brute-force reference — property and regression suite.
 
-The calendar engine in :mod:`repro.sim.engine` promises *bit-identical*
-execution order with the global-heap engine it replaced: the
-``(time, origin, seq)`` total order, windowed ``run(until, inclusive)``
-semantics, ``max_events`` budgets, lazy cancellation, and link-batch
-delivery must all be observationally indistinguishable.  This file pins
-that promise against :class:`ReferenceScheduler` — a straight heapq port
-of the pre-calendar engine, simple enough to be obviously correct — by
-running identical randomized schedule/cancel/run scripts on both and
-comparing full execution traces.
+:mod:`repro.sim.engine` promises the ``(time, origin, seq)`` total
+order, windowed ``run(until, inclusive)`` semantics, ``max_events``
+budgets, lazy cancellation, ``peek_time`` and ``earliest_output_bound``
+exactly as :class:`ReferenceScheduler` — a straight heapq engine, simple
+enough to be obviously correct — implements them.  Identical randomized
+schedule/cancel/run scripts run on both, and their full execution traces
+must match.  At every checkpoint the reference answers ``peek_time`` and
+``earliest_output_bound`` by brute force over its whole heap, so neither
+query leans on the heap order it is checking.
 
-The regression tests at the bottom pin the named batch corner cases:
-a batch counts each member toward ``max_events``/``events_processed``,
-cancelled members are skipped (and not counted), a mid-batch ``stop()``
-or budget exhaustion re-queues the unexecuted tail, and a member
-callback scheduling a same-tick event with a lower origin *preempts*
-the remaining members — exactly as the reference heap would interleave
-it.
+The regression tests at the bottom pin same-tick burst corner cases: each
+event of a same-(tick, sender) burst counts toward
+``max_events``/``events_processed``, cancelled events are skipped (and
+not counted), a mid-burst ``stop()`` or budget exhaustion leaves the rest
+of the burst queued, and a burst callback scheduling a same-tick event
+with a lower origin *preempts* the rest of the burst.
 """
 
 from __future__ import annotations
@@ -30,12 +29,12 @@ from repro.sim.engine import EXTERNAL_ORIGIN, EventHandle, Simulator
 
 
 class ReferenceScheduler:
-    """The pre-calendar engine: one global heap, one pop per event.
+    """One global heap, one pop per event; queries answered by brute force.
 
-    Deliberately kept as close to the historical implementation as
-    possible (including the ``origin`` install and the ``max``-clamped
-    idle-advance) so the property tests compare the calendar engine
-    against known-good semantics rather than against a re-derivation.
+    Kept as close to the historical implementation as possible (including
+    the ``origin`` install and the ``max``-clamped idle-advance) so the
+    property tests compare the engine against known-good semantics rather
+    than against a re-derivation.
     """
 
     def __init__(self) -> None:
@@ -64,6 +63,16 @@ class ReferenceScheduler:
         seq = self._seq
         self._seq = seq + 1
         handle = EventHandle(time, seq, callback, args, origin)
+        heapq.heappush(self._heap, (time, origin, seq, handle))
+        return handle
+
+    def schedule_at_node(self, time, rank, callback, *args):
+        if time < self.now:
+            raise ValueError("past")
+        origin = self.origin
+        seq = self._seq
+        self._seq = seq + 1
+        handle = EventHandle(time, seq, callback, args, origin, loc=rank)
         heapq.heappush(self._heap, (time, origin, seq, handle))
         return handle
 
@@ -133,20 +142,44 @@ class ReferenceScheduler:
     def pending(self):
         return len(self._heap)
 
+    def peek_time(self):
+        live = [time for time, _o, _s, handle in self._heap if not handle.cancelled]
+        # The documented lazy discard: cancelled events ahead of the first
+        # live one leave the queue (and the ``pending`` count).
+        while self._heap and self._heap[0][3].cancelled:
+            heapq.heappop(self._heap)
+        return min(live) if live else None
+
+    def earliest_output_bound(self, dist_by_rank, default=0.0):
+        return min(
+            (
+                time + dist_by_rank.get(handle.loc, default)
+                for time, _o, _s, handle in self._heap
+                if not handle.cancelled
+            ),
+            default=float("inf"),
+        )
+
 
 # Small value pools: heavy collisions are the point — equal timestamps
-# exercise bucket sharing, zero delays exercise active-tick insorts and
-# batch preemption, and small origin ranges force sender-rank ties.
+# exercise same-tick ordering, zero delays exercise events scheduled into
+# the tick being drained, and small origin ranges force sender-rank ties.
 DELAYS = (0.0, 0.0, 0.25, 1.0, 1.0, 2.0, 3.5)
 ORIGINS = (0, 1, 2, 3)
 
-# One in-callback (or external) action.  ``spawn``/``at`` schedule with
-# the executing context's origin; ``link``/``burst`` carry an explicit
-# sender rank; ``cancel`` lazily cancels an earlier handle; ``stop``
-# halts the loop after the current callback.
+# One in-callback (or external) action.  ``spawn``/``at``/``node``
+# schedule with the executing context's origin (``node`` also names a
+# locus rank for ``earliest_output_bound``); ``link``/``burst`` carry an
+# explicit sender rank; ``cancel`` lazily cancels an earlier handle;
+# ``stop`` halts the loop after the current callback; ``mark`` records a
+# checkpoint, including both queue queries under a small distance map
+# (ranks absent from the map fall back to ``default``).
 _action = st.one_of(
     st.tuples(st.just("spawn"), st.sampled_from(range(len(DELAYS)))),
     st.tuples(st.just("at"), st.sampled_from(range(len(DELAYS)))),
+    st.tuples(
+        st.just("node"), st.sampled_from(range(len(DELAYS))), st.sampled_from(ORIGINS)
+    ),
     st.tuples(
         st.just("link"),
         st.sampled_from(range(len(DELAYS))),
@@ -162,6 +195,13 @@ _action = st.one_of(
     ),
     st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=63)),
     st.tuples(st.just("stop")),
+    st.tuples(
+        st.just("mark"),
+        st.dictionaries(
+            st.sampled_from(ORIGINS), st.sampled_from(DELAYS), max_size=len(ORIGINS)
+        ),
+        st.sampled_from((0.0, 0.5)),
+    ),
 )
 
 _specs = st.lists(st.lists(_action, max_size=4), min_size=1, max_size=24)
@@ -210,13 +250,19 @@ class Driver:
             self.handles.append(
                 sim.schedule_at(sim.now + DELAYS[act[1]], self.fire, self._take_spec())
             )
+        elif kind == "node":
+            self.handles.append(
+                sim.schedule_at_node(
+                    sim.now + DELAYS[act[1]], act[2], self.fire, self._take_spec()
+                )
+            )
         elif kind == "link":
             self.handles.append(
                 sim.schedule_link(DELAYS[act[1]], act[2], act[3], self.fire, self._take_spec())
             )
         elif kind == "burst":
-            # Back-to-back same-(delay, sender) sends: the pattern the
-            # calendar coalesces into one batch entry.
+            # Back-to-back same-(delay, sender) sends: one node fanning a
+            # multicast out over equal-delay faces.
             for _ in range(act[4]):
                 self.handles.append(
                     sim.schedule_link(
@@ -228,10 +274,14 @@ class Driver:
                 self.handles[act[1] % len(self.handles)].cancel()
         elif kind == "stop":
             sim.stop()
+        elif kind == "mark":
+            self.checkpoint(act[1], act[2])
 
-    def checkpoint(self):
+    def checkpoint(self, dist=None, default=0.0):
         sim = self.sim
-        self.trace.append(("mark", sim.now, sim.events_processed, sim.pending()))
+        state = (sim.now, sim.events_processed, sim.pending())
+        bound = sim.earliest_output_bound(dist or {}, default)
+        self.trace.append(("mark",) + state + (sim.peek_time(), bound, sim.pending()))
 
 
 def _replay(sim, specs, initial, windows):
@@ -274,11 +324,12 @@ def test_step_trace_equivalent_to_reference_heap(specs, initial):
 
 
 # ----------------------------------------------------------------------
-# Named batch corner cases (regression tests)
+# Named same-tick burst corner cases (regression tests)
 # ----------------------------------------------------------------------
 
 
 def _burst(sim, k, delay, sort_origin, log, tag="m", on_fire=None):
+    """Schedule ``k`` back-to-back arrivals from one sender on one tick."""
     handles = []
     for i in range(k):
         def cb(i=i):
@@ -290,6 +341,7 @@ def _burst(sim, k, delay, sort_origin, log, tag="m", on_fire=None):
 
 
 def test_batch_members_count_toward_max_events():
+    """Each event of a same-tick burst counts once toward ``max_events``."""
     sim = Simulator()
     log = []
     _burst(sim, 4, 1.0, 5, log)
@@ -304,6 +356,7 @@ def test_batch_members_count_toward_max_events():
 
 
 def test_cancelled_member_inside_batch_is_skipped_and_not_counted():
+    """A cancelled event inside a same-tick burst is skipped, uncounted."""
     sim = Simulator()
     log = []
     handles = _burst(sim, 3, 1.0, 5, log)
@@ -315,6 +368,7 @@ def test_cancelled_member_inside_batch_is_skipped_and_not_counted():
 
 
 def test_member_callback_can_cancel_later_member_of_same_batch():
+    """A burst callback can cancel a later event of the same burst."""
     sim = Simulator()
     log = []
     handles = _burst(sim, 3, 1.0, 5, log, on_fire=lambda i: i == 0 and handles[2].cancel())
@@ -324,9 +378,11 @@ def test_member_callback_can_cancel_later_member_of_same_batch():
 
 
 def test_same_tick_lower_origin_preempts_batch_remainder():
-    # A member callback schedules a zero-delay arrival whose sender rank
-    # sorts *before* the batch's — the reference heap pops it next, so
-    # the batch must yield mid-way.
+    """A same-tick event with a lower origin runs before the burst's rest.
+
+    A burst callback schedules a zero-delay arrival whose sender rank
+    sorts *before* the burst's, so it runs next, mid-burst.
+    """
     for make_sim in (ReferenceScheduler, Simulator):
         sim = make_sim()
         log = []
@@ -341,6 +397,7 @@ def test_same_tick_lower_origin_preempts_batch_remainder():
 
 
 def test_same_tick_higher_origin_does_not_preempt_batch():
+    """A same-tick event with a higher origin waits for the whole burst."""
     for make_sim in (ReferenceScheduler, Simulator):
         sim = make_sim()
         log = []
@@ -355,6 +412,7 @@ def test_same_tick_higher_origin_does_not_preempt_batch():
 
 
 def test_exclusive_horizon_excludes_batch_tick():
+    """An exclusive horizon on the burst's tick leaves the whole burst queued."""
     sim = Simulator()
     log = []
     _burst(sim, 3, 1.0, 5, log)
@@ -366,6 +424,7 @@ def test_exclusive_horizon_excludes_batch_tick():
 
 
 def test_stop_mid_batch_requeues_tail_in_order():
+    """``stop()`` mid-burst leaves the rest queued; the next run resumes it."""
     sim = Simulator()
     log = []
     _burst(sim, 4, 1.0, 5, log, on_fire=lambda i: i == 1 and sim.stop())
@@ -375,3 +434,19 @@ def test_stop_mid_batch_requeues_tail_in_order():
     sim.run()
     assert log == ["m0", "m1", "m2", "m3"]
     assert sim.events_processed == 4
+
+
+def test_earliest_output_bound_uses_locus_and_skips_cancelled():
+    """The bound credits each live event with its locus's boundary distance."""
+    sim = Simulator()
+    sim.schedule_at_node(1.0, 3, lambda: None)  # locus 3, sorts EXTERNAL
+    sim.schedule_link(2.0, 0, 1, lambda: None)  # locus = receiver rank 1
+    doomed = sim.schedule_at(0.5, lambda: None)  # locus EXTERNAL_ORIGIN
+    dist = {1: 0.25, 3: 4.0}
+    assert sim.earliest_output_bound(dist) == 0.5
+    assert sim.earliest_output_bound(dist, default=9.0) == 2.25
+    doomed.cancel()
+    assert sim.earliest_output_bound(dist) == 2.25
+    assert sim.peek_time() == 1.0
+    assert sim.pending() == 2
+    assert Simulator().earliest_output_bound(dist) == float("inf")
